@@ -92,6 +92,17 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session")
+def timings_dir(tmp_path_factory) -> Path:
+    """Where the timing benchmarks write their records.
+
+    Wall-clock timings differ on every run, so they go to a temporary
+    directory and a test run never rewrites a tracked file; the timing
+    benchmark of record is ``perfbench/`` (see ``perfbench/README.md``).
+    """
+    return tmp_path_factory.mktemp("timings")
+
+
 def write_result(results_dir: Path, name: str, text: str) -> None:
     path = results_dir / f"{name}.txt"
     path.write_text(text + "\n")

@@ -6,8 +6,8 @@ blocks through ``GateSet.decompose_batch`` vs a per-matrix loop) and an
 end-to-end circuit lowering (``decompose_circuit`` two-phase walk vs
 ``decompose_circuit_reference``, both cache-cold).  The batched path
 must be at least 3x faster on the raw batch and bit-identical in both
-settings.  The measurement is recorded under
-``benchmarks/results/decompose_batch.json``.
+settings.  The measurement is printed and written to a temporary
+directory (timings differ on every run).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
     return best
 
 
-def test_batched_synthesis_at_least_3x_faster(results_dir):
+def test_batched_synthesis_at_least_3x_faster(timings_dir):
     gateset = get_gateset("CNOT")
     matrices = _haar_batch()
 
@@ -91,7 +91,7 @@ def test_batched_synthesis_at_least_3x_faster(results_dir):
         "circuit_speedup": round(
             circuit_scalar_seconds / circuit_batch_seconds, 1),
     }
-    path = results_dir / "decompose_batch.json"
+    path = timings_dir / "decompose_batch.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\n=== decompose_batch ===\n{json.dumps(record, indent=2)}")
 

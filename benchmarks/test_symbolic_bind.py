@@ -6,7 +6,8 @@ variational use case runs exactly this loop: one circuit structure,
 hundreds of angle updates from the classical optimizer.  A warm bind
 must be at least 10x faster than a cold compile of the same angles,
 and every bound circuit bit-identical to its cold-compiled twin.  The
-measurement is recorded under ``benchmarks/results/symbolic_bind.json``.
+measurement is printed and written to a temporary directory (timings
+differ on every run).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _compiler():
                         gateset="CNOT", seed=0)
 
 
-def test_warm_bind_at_least_10x_faster_than_cold_compile(results_dir):
+def test_warm_bind_at_least_10x_faster_than_cold_compile(timings_dir):
     bindings = _angle_grid()
     symbolic = build_symbolic_step(BENCHMARK, N_QUBITS, 0)
 
@@ -67,7 +68,7 @@ def test_warm_bind_at_least_10x_faster_than_cold_compile(results_dir):
         "cold_compile_seconds_per_angle_set": round(per_cold, 4),
         "speedup": round(speedup, 1),
     }
-    path = results_dir / "symbolic_bind.json"
+    path = timings_dir / "symbolic_bind.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\n=== symbolic_bind ===\n{json.dumps(record, indent=2)}")
 

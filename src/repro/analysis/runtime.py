@@ -99,8 +99,7 @@ def runtime_records_payload(records: list[RuntimeRecord]) -> list[dict]:
     """Machine-readable form of a runtime table.
 
     One JSON object per record with per-pass seconds rounded to
-    milliseconds, so ``benchmarks/results/runtime_scaling.json`` diffs
-    meaningfully across PRs (the perf trajectory) without churning on
+    milliseconds, so two payloads diff without churning on
     sub-millisecond noise.
     """
     payload = []
@@ -120,7 +119,7 @@ def runtime_records_payload(records: list[RuntimeRecord]) -> list[dict]:
 
 
 def runtime_records_from_payload(payload: list[dict]) -> list[RuntimeRecord]:
-    """Rebuild records from a ``runtime_scaling.json`` payload.
+    """Rebuild records from a :func:`runtime_records_payload` payload.
 
     Tolerates rows written before the ``unify_s`` column existed (it
     defaults to 0.0).  The stored ``total_s`` is derived and rounded, so

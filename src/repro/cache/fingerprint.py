@@ -18,6 +18,7 @@ key silently serves wrong artifacts, a loud failure does not.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import struct
 
@@ -98,7 +99,10 @@ def _update(h, obj: object) -> None:  # noqa: PLR0912 - one dispatch table
 # Classes with a hand-written canonical form (to skip derived caches or
 # non-semantic fields the generic dataclass walk would include).
 # ----------------------------------------------------------------------
-def _is_known_class(obj: object) -> bool:
+@functools.cache
+def _known_classes() -> tuple[type, ...]:
+    """The classes with a hand-written form, imported once on first use
+    (a per-call import costs more than hashing a small object)."""
     from repro.core.routing import QubitMap
     from repro.devices.topology import Device
     from repro.hamiltonians.trotter import OneQubitOperator, TwoQubitOperator
@@ -106,17 +110,20 @@ def _is_known_class(obj: object) -> bool:
     from repro.quantum.gates import Gate
     from repro.synthesis.gateset import GateSet
 
+    return (QubitMap, Device, Circuit, Gate, TwoQubitOperator,
+            OneQubitOperator, GateSet)
+
+
+def _is_known_class(obj: object) -> bool:
+    (QubitMap, Device, Circuit, Gate, TwoQubitOperator, OneQubitOperator,
+     GateSet) = _known_classes()
     return isinstance(obj, (Device, Circuit, Gate, GateSet, QubitMap,
                             TwoQubitOperator, OneQubitOperator))
 
 
 def _update_known(h, obj: object) -> None:
-    from repro.core.routing import QubitMap
-    from repro.devices.topology import Device
-    from repro.hamiltonians.trotter import OneQubitOperator, TwoQubitOperator
-    from repro.quantum.circuit import Circuit
-    from repro.quantum.gates import Gate
-    from repro.synthesis.gateset import GateSet
+    (QubitMap, Device, Circuit, Gate, TwoQubitOperator, OneQubitOperator,
+     GateSet) = _known_classes()
 
     if isinstance(obj, QubitMap):
         # array-backed, not a dataclass: hash the canonical dict view

@@ -274,14 +274,15 @@ class MapPass:
     """Stage 2: QAP-formulated placement via best-of-k Tabu search.
 
     Honours a fixed ``ctx.initial`` assignment when the driver provides
-    one (scoring it on the QAP instance instead of searching).
+    one (scoring it on the QAP instance instead of searching); an
+    invalid one -- wrong length, a non-integer or out-of-range location,
+    or a location used twice -- raises :class:`ValueError`.
 
-    The Tabu search runs on the vectorized delta-table kernel
-    (:meth:`repro.mapping.qap.QAPInstance.swap_delta_matrix` plus the
-    Taillard-style O(n^2) incremental updates); interaction-count flows
-    and hop-count distances are integer-valued, so the kernel is exact
-    and the selected mapping is bit-identical to the old scalar scan --
-    see "Mapping performance" in ``docs/architecture.md``.
+    The Tabu search reads its moves off the rank-1-updated gain table
+    (:class:`repro.mapping.qap.GainTable`); interaction-count flows and
+    hop-count distances are integer-valued, so the table is exact and
+    the selected mapping is bit-identical to the old scalar scan -- see
+    "Mapping performance" in ``docs/architecture.md``.
 
     ``jobs > 1`` fans the Tabu trials out over a process pool; per-trial
     seeding is identical to the serial loop, so the selected mapping is
@@ -307,7 +308,7 @@ class MapPass:
                                         seed=ctx.seed, jobs=self.jobs)
             ctx.assignment, ctx.qap_cost = mapping.assignment, float(mapping.cost)
         else:
-            ctx.assignment = np.asarray(ctx.initial)
+            ctx.assignment = instance.check_assignment(ctx.initial)
             ctx.qap_cost = float(instance.cost(ctx.assignment))
         return ctx
 

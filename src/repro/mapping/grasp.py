@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mapping.qap import QAPInstance
+from repro.mapping.qap import GainTable, QAPInstance
 from repro.mapping.tabu import TabuResult
 
 
@@ -72,33 +72,32 @@ def _greedy_randomized_construction(instance: QAPInstance,
 
 def _local_search(instance: QAPInstance,
                   assignment: np.ndarray) -> tuple[np.ndarray, float]:
-    """First-improvement 2-swap descent on the vectorized delta table.
+    """First-improvement 2-swap descent on the gain table.
 
     Replays the old scalar scan exactly: probe pairs in ``(i, j)``
     lexicographic order, apply the first improving swap immediately,
     resume scanning from the next pair, and stop after a full pass with
-    no improvement.  The delta table replaces the O(n) scalar probe per
-    pair and is refreshed in O(n^2) after each applied swap, so for
-    integer-valued instances the descent path is bit-identical.
+    no improvement.  The :class:`~repro.mapping.qap.GainTable` replaces
+    the O(n) scalar probe per pair and is refreshed by one rank-1 update
+    after each applied swap, so for integer-valued instances the descent
+    path is bit-identical.
     """
     n = instance.n_logical
     cost = instance.cost(assignment)
-    deltas = instance.swap_delta_matrix(assignment)
-    improving = np.triu(deltas < -1e-12, k=1)
+    table = GainTable(instance, assignment)      # swaps assignment in place
     improved = True
     while improved:
         improved = False
         scan_from = 0
         while True:
-            rest = improving.flat[scan_from:]
+            deltas = table.swap_deltas()
+            rest = np.triu(deltas < -1e-12, k=1).flat[scan_from:]
             if not rest.any():
                 break
             flat = scan_from + int(np.argmax(rest))
             i, j = flat // n, flat % n
-            assignment[i], assignment[j] = assignment[j], assignment[i]
             cost += float(deltas[i, j])
-            instance.update_deltas_after_swap(deltas, assignment, i, j)
-            improving = np.triu(deltas < -1e-12, k=1)
+            table.swap(i, j)
             improved = True
             scan_from = flat + 1
     return assignment, float(cost)

@@ -7,10 +7,9 @@ LinePlacement fallback used for large circuits.
 
 All bundled solvers (:func:`~repro.mapping.tabu.tabu_search`,
 :func:`~repro.mapping.annealing.simulated_annealing`,
-:func:`~repro.mapping.grasp.grasp_search`) probe moves through the
-vectorized :class:`~repro.mapping.qap.QAPInstance` delta kernels, so a
-best-of-k wrapper around any of them inherits the vectorized speed with
-bit-identical trial outcomes.
+:func:`~repro.mapping.grasp.grasp_search`) score moves on the exact
+:class:`~repro.mapping.qap.GainTable`, so a best-of-k wrapper around
+any of them inherits its speed with bit-identical trial outcomes.
 """
 
 from __future__ import annotations

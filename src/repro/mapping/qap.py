@@ -13,18 +13,18 @@ formulation works *better* for 2-local Hamiltonian simulation than for
 generic circuits because any NN operator can be scheduled in any map,
 making gate order irrelevant to the objective.
 
-Neighbourhood evaluation is vectorized (the Taillard robust-taboo-search
-delta-table scheme, the paper's refs [52, 53]):
-:meth:`QAPInstance.swap_delta_matrix` scores *every* swap move at once,
-:meth:`QAPInstance.relocate_delta_matrix` every relocation to a free
-location, and :meth:`QAPInstance.update_deltas_after_swap` /
-:meth:`QAPInstance.update_deltas_after_relocate` refresh the table in
-O(n^2) after a move instead of recomputing from scratch.  Because both
-``flow`` (interaction counts) and ``distance`` (hop counts) are
-integer-valued, every vectorized float64 sum is a sum of exactly
-representable integers and therefore *exact*, independent of summation
-order -- the vectorized kernels return bit-identical values to the
-retained scalar references (:meth:`QAPInstance.swap_delta_reference`,
+Neighbourhood evaluation runs on one n x m *gain table* (the
+delta-table idea of Taillard's robust taboo search, the paper's refs
+[52, 53]), :class:`GainTable`: ``G[r, p] = 2 sum_k F[r, k] D[p, a_k]``
+is the cost logical ``r`` would contribute from location ``p``.  Every
+swap delta and every relocation delta is a few reads of ``G``, and a
+move changes ``G`` by one rank-1 outer product, so refreshing the table
+after a move is O(n m).  Because both ``flow``
+(interaction counts) and ``distance`` (hop counts) are integer-valued,
+every float64 sum is a sum of exactly representable integers and
+therefore *exact*, independent of summation order -- the table's deltas
+are bit-identical to the retained scalar references
+(:meth:`QAPInstance.swap_delta_reference`,
 :meth:`QAPInstance.relocate_delta_reference`).
 """
 
@@ -73,27 +73,30 @@ class QAPInstance:
         sub = self.distance[np.ix_(assignment, assignment)]
         return float((self.flow * sub).sum())
 
-    # ------------------------------------------------------------------
-    # Single-move probes
-    # ------------------------------------------------------------------
-    def swap_delta(self, assignment: np.ndarray, i: int, j: int) -> float:
-        """Cost change from swapping the locations of logical i and j.
+    def check_assignment(self, assignment) -> np.ndarray:
+        """``assignment`` as an array if it places every logical qubit on
+        its own integer location in ``[0, n_physical)``; else ValueError."""
+        array = np.asarray(assignment)
+        if array.shape != (self.n_logical,) or array.dtype.kind not in "iu":
+            raise ValueError(
+                f"assignment must hold {self.n_logical} integer locations, "
+                f"got {array.dtype} of shape {array.shape}")
+        if array.size and not (0 <= array.min() <= array.max()
+                               < self.n_physical):
+            raise ValueError(
+                f"assignment locations must lie in [0, {self.n_physical})")
+        if np.unique(array).size != array.size:
+            raise ValueError("assignment repeats a location")
+        return array
 
-        Vectorized O(n) evaluation; for integer-valued instances the
-        result is bit-identical to :meth:`swap_delta_reference`.
-        """
-        a, b = assignment[i], assignment[j]
-        if a == b:
-            return 0.0
-        terms = (self.flow[i] - self.flow[j]) * (
-            self.distance[b, assignment] - self.distance[a, assignment]
-        )
-        return float(2.0 * (terms.sum() - terms[i] - terms[j]))
-
+    # ------------------------------------------------------------------
+    # Move deltas
+    # ------------------------------------------------------------------
     def swap_delta_reference(self, assignment: np.ndarray,
                              i: int, j: int) -> float:
-        """Scalar reference for :meth:`swap_delta` (kept for equivalence
-        tests and the CI perf smoke; not used on the compile path)."""
+        """Scalar reference: cost change from swapping the locations of
+        logical ``i`` and ``j`` (kept for equivalence tests and the CI
+        perf smoke; not used on the compile path)."""
         a, b = assignment[i], assignment[j]
         if a == b:
             return 0.0
@@ -122,105 +125,93 @@ class QAPInstance:
             )
         return float(delta)
 
-    # ------------------------------------------------------------------
-    # Full-neighbourhood kernels
-    # ------------------------------------------------------------------
     def swap_delta_matrix(self, assignment: np.ndarray) -> np.ndarray:
         """All swap-move deltas at once: ``delta[i, j]`` is the cost
         change of swapping logical ``i`` and ``j``.
 
-        Symmetric with a zero diagonal; one matmul instead of O(n^2)
-        scalar probes.  Exact for integer-valued instances.
+        Symmetric with a zero diagonal; read off a fresh
+        :class:`GainTable`.  Exact for integer-valued instances.
         """
-        flow = self.flow
-        sub = self.distance[np.ix_(assignment, assignment)]
-        cross = flow @ sub.T                    # cross[i, j] = sum_k F[i,k] S[j,k]
-        diag_sum = np.einsum("ik,ik->i", flow, sub)
-        flow_diag = np.diagonal(flow)
-        sub_diag = np.diagonal(sub)
-        # full-sum expansion minus the k=i and k=j terms the move excludes
-        k_is_i = (flow_diag[:, None] - flow.T) * (sub.T - sub_diag[:, None])
-        k_is_j = (flow - flow_diag[None, :]) * (sub_diag[None, :] - sub)
-        delta = 2.0 * (cross + cross.T
-                       - diag_sum[:, None] - diag_sum[None, :]
-                       - k_is_i - k_is_j)
-        np.fill_diagonal(delta, 0.0)
-        return delta
+        return GainTable(self, np.asarray(assignment)).swap_deltas()
 
-    def relocate_delta_matrix(self, assignment: np.ndarray,
-                              free: np.ndarray) -> np.ndarray:
-        """All relocation deltas at once: ``delta[i, l]`` is the cost
-        change of moving logical ``i`` to the free location ``free[l]``.
-        """
-        free = np.asarray(free, dtype=int)
-        flow = self.flow
-        sub = self.distance[np.ix_(assignment, assignment)]
-        to_free = self.distance[np.ix_(free, assignment)]
-        cross = flow @ to_free.T                # cross[i, l] = sum_k F[i,k] D[free_l, a_k]
-        diag_sum = np.einsum("ik,ik->i", flow, sub)
-        k_is_i = np.diagonal(flow)[:, None] * (
-            to_free.T - np.diagonal(sub)[:, None]
-        )
-        return 2.0 * (cross - diag_sum[:, None] - k_is_i)
 
-    def swap_delta_row(self, assignment: np.ndarray, i: int) -> np.ndarray:
-        """One row of :meth:`swap_delta_matrix`: deltas of swapping ``i``
-        with every other logical qubit, under ``assignment``."""
-        flow = self.flow
-        sub = self.distance[np.ix_(assignment, assignment)]
-        terms = (flow[i][None, :] - flow) * (sub - sub[i][None, :])
-        row = 2.0 * (terms.sum(axis=1) - terms[:, i] - np.diagonal(terms))
-        row[i] = 0.0
-        return row
+class GainTable:
+    """Swap and relocation deltas of one assignment, kept up to date.
 
-    # ------------------------------------------------------------------
-    # Taillard-style O(n^2) incremental updates
-    # ------------------------------------------------------------------
-    def update_deltas_after_swap(self, delta: np.ndarray,
-                                 assignment: np.ndarray,
-                                 i: int, j: int) -> np.ndarray:
-        """Refresh a delta table in place after swapping ``i`` and ``j``.
+    ``gains[r, p] = 2 sum_{k != r} F[r, k] D[p, a_k]`` is the cost that
+    logical ``r`` would contribute from location ``p`` (each pair counts
+    from both ends, hence the 2).  The flow diagonal is dropped: with a
+    zero distance diagonal it adds nothing to the cost, and the move
+    deltas exclude it.  For a symmetric distance matrix with a zero
+    diagonal (every device's):
 
-        ``assignment`` is the assignment *after* the swap.  Entries not
-        involving ``i``/``j`` pick up only the two changed summation
-        terms (Taillard's update); rows/columns ``i`` and ``j`` are
-        recomputed.  O(n^2) total, and exact for integer-valued
-        instances -- the updated table equals a fresh
-        :meth:`swap_delta_matrix` bit for bit.
-        """
-        flow_diff = self.flow[:, i] - self.flow[:, j]
-        # pre-swap location of i is assignment[j] and vice versa; rows
-        # i/j of these vectors are wrong but overwritten just below
-        dist_diff = (self.distance[assignment[i], assignment]
-                     - self.distance[assignment[j], assignment])
-        delta -= 2.0 * np.subtract.outer(flow_diff, flow_diff) \
-            * np.subtract.outer(dist_diff, dist_diff)
-        for moved in (i, j):
-            row = self.swap_delta_row(assignment, moved)
-            delta[moved, :] = row
-            delta[:, moved] = row
-        return delta
+    * swapping ``i`` and ``j`` changes the cost by
+      ``G[i, a_j] - G[i, a_i] + G[j, a_i] - G[j, a_j]
+      + 4 F[i, j] D[a_i, a_j]``;
+    * moving ``i`` to a free location ``p`` changes it by
+      ``G[i, p] - G[i, a_i]``.
 
-    def update_deltas_after_relocate(self, delta: np.ndarray,
-                                     assignment: np.ndarray,
-                                     i: int, old_loc: int) -> np.ndarray:
-        """Refresh a delta table in place after relocating ``i``.
+    A move changes only the ``k = i`` (and ``k = j``) summation terms,
+    so :meth:`swap` adds ``outer(2 (F[:, i] - F[:, j]), D[a_j] - D[a_i])``
+    and :meth:`relocate` adds ``outer(2 F[:, i], D[new] - D[old])``,
+    both with the pre-move locations.  On integer-valued instances every
+    entry stays an exact integer, so the maintained table equals a
+    fresh one bit for bit.
 
-        ``assignment`` is the assignment *after* the move (``i`` now
-        sits on its new location) and ``old_loc`` the location it
-        vacated.  Only the ``k = i`` summation term of each entry
-        changes; row/column ``i`` are recomputed.  O(n^2), exact for
-        integer-valued instances.
-        """
-        flow_i = self.flow[:, i]
-        shift = (self.distance[assignment[i], assignment]
-                 - self.distance[old_loc, assignment])
-        delta -= 2.0 * np.subtract.outer(flow_i, flow_i) \
-            * np.subtract.outer(shift, shift)
-        row = self.swap_delta_row(assignment, i)
-        delta[i, :] = row
-        delta[:, i] = row
-        return delta
+    The table owns ``assignment`` and updates it in place on each move.
+    """
+
+    def __init__(self, instance: QAPInstance, assignment: np.ndarray):
+        flow = instance.flow
+        if np.diagonal(flow).any():
+            flow = flow.copy()
+            np.fill_diagonal(flow, 0.0)
+        self._twice_flow = 2.0 * flow
+        self._four_flow = 4.0 * flow
+        self.distance = instance.distance
+        self.assignment = assignment
+        self._logical = np.arange(len(assignment))
+        self.gains = self._twice_flow @ self.distance[:, assignment].T
+
+    def swap_deltas(self) -> np.ndarray:
+        """``delta[i, j]``: cost change of swapping logical ``i`` and ``j``."""
+        a = self.assignment
+        at_partners = self.gains.take(a, axis=1)   # G[i, a_j]
+        own = at_partners.diagonal()               # G[i, a_i]
+        deltas = at_partners + at_partners.T
+        deltas -= own[:, None]
+        deltas -= own
+        deltas += self._four_flow * self.distance.take(a, 0).take(a, 1)
+        return deltas
+
+    def relocate_deltas(self) -> np.ndarray:
+        """``delta[i, p]``: cost change of moving logical ``i`` to
+        location ``p``; meaningful for free locations ``p`` only."""
+        own = self.gains[self._logical, self.assignment]
+        return self.gains - own[:, None]
+
+    def swap_delta(self, i: int, j: int) -> float:
+        """One entry of :meth:`swap_deltas`."""
+        a, b = self.assignment[i], self.assignment[j]
+        gains = self.gains
+        return float(gains[i, b] - gains[i, a] + gains[j, a] - gains[j, b]
+                     + self._four_flow[i, j] * self.distance[a, b])
+
+    def swap(self, i: int, j: int) -> None:
+        """Swap the locations of logical ``i`` and ``j``."""
+        a, b = self.assignment[i], self.assignment[j]
+        self.gains += np.multiply.outer(
+            self._twice_flow[:, i] - self._twice_flow[:, j],
+            self.distance[b] - self.distance[a])
+        self.assignment[i], self.assignment[j] = b, a
+
+    def relocate(self, i: int, location: int) -> None:
+        """Move logical ``i`` to the free ``location``."""
+        old = self.assignment[i]
+        self.gains += np.multiply.outer(
+            self._twice_flow[:, i],
+            self.distance[location] - self.distance[old])
+        self.assignment[i] = location
 
 
 def qap_from_problem(step: TrotterStep, device: Device) -> QAPInstance:

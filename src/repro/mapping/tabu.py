@@ -9,25 +9,25 @@ Standard recency-based Tabu search over the swap neighbourhood:
   ``tenure`` iterations;
 * the aspiration criterion admits tabu moves that beat the incumbent.
 
-The neighbourhood is evaluated on the vectorized delta table
-(:meth:`QAPInstance.swap_delta_matrix`), refreshed in O(n^2) per
-iteration via the Taillard-style incremental updates instead of O(n^2)
-scalar probes of O(n) each.  Tabu/aspiration filtering is a boolean
-mask and best-move selection a masked argmin that scans the strict
-upper triangle in the same ``(i, j)`` lexicographic order as the old
-scalar loops, so for integer-valued instances (interaction-count flows,
-hop-count distances) the search trajectory -- and therefore the
-returned assignment and cost -- is bit-identical, only faster.
+Both neighbourhoods are read off one n x m gain table
+(:class:`~repro.mapping.qap.GainTable`) that each move refreshes with a
+rank-1 update, so an iteration costs O(n m) array work with no index
+gathers beyond the current assignment's columns.  Tabu/aspiration
+filtering is a boolean mask and best-move selection a masked argmin
+that scans the strict upper triangle in the same ``(i, j)`` order as
+the old scalar loops (relocations in ``(i, location)`` order), so for
+integer-valued instances (interaction-count flows, hop-count distances)
+the search trajectory -- and therefore the returned assignment and
+cost -- is bit-identical to the scalar search, only faster.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mapping.qap import QAPInstance
+from repro.mapping.qap import GainTable, QAPInstance
 
 
 @dataclass
@@ -60,9 +60,7 @@ def tabu_search(instance: QAPInstance, seed: int = 0,
     if initial is None:
         current = np.array(rng.permutation(m)[:n])
     else:
-        current = np.array(initial, dtype=int)
-        if len(set(current.tolist())) != n:
-            raise ValueError("initial assignment must be injective")
+        current = np.array(instance.check_assignment(initial), dtype=int)
     cost = instance.cost(current)
     best = current.copy()
     best_cost = cost
@@ -70,42 +68,43 @@ def tabu_search(instance: QAPInstance, seed: int = 0,
     # tabu[i, loc] = iteration until which assigning logical i to physical
     # loc is forbidden.
     tabu = np.zeros((n, m), dtype=int)
-
-    free = sorted(set(range(m)) - set(current.tolist()))
-
-    deltas = instance.swap_delta_matrix(current)
-    logical = np.arange(n)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    table = GainTable(instance, current)       # updates current in place
+    occupied = np.zeros(m, dtype=bool)
+    occupied[current] = True
+    not_upper = np.tril(np.ones((n, n), dtype=bool))
 
     performed = max_iterations
     for iteration in range(max_iterations):
         # swap moves between logical qubits: mask out the lower triangle
-        # plus tabu moves that fail aspiration, then take the first
-        # strict minimum in (i, j) lexicographic order (np.argmin
-        # returns the first occurrence, matching the old scalar scan)
-        tabu_hit = tabu[logical[:, None], current[None, :]] > iteration
+        # plus tabu moves that fail aspiration (would not beat the
+        # incumbent), then take the first strict minimum in (i, j)
+        # lexicographic order (argmin returns the first occurrence,
+        # matching the old scalar scan)
+        deltas = table.swap_deltas()
+        tabu_hit = tabu.take(current, axis=1) > iteration
         blocked = (tabu_hit | tabu_hit.T) & (cost + deltas >= best_cost)
-        candidates = np.where(upper & ~blocked, deltas, np.inf)
-        flat = int(np.argmin(candidates))
+        blocked |= not_upper
+        candidates = np.where(blocked, np.inf, deltas)
+        flat = int(candidates.argmin())
         best_delta = candidates.flat[flat]
         best_move = None
         if best_delta < np.inf:
             best_move = ("swap", flat // n, flat % n)
         # relocation moves to free physical qubits (devices larger than
-        # the problem); a relocation wins only on a strictly smaller
-        # delta, as in the scalar scan order (swaps probed first)
-        if free:
-            free_arr = np.array(free)
-            relocations = instance.relocate_delta_matrix(current, free_arr)
-            reloc_tabu = tabu[logical[:, None], free_arr[None, :]] > iteration
-            reloc_blocked = reloc_tabu & (cost + relocations >= best_cost)
+        # the problem), scanned in (i, location) order; a relocation
+        # wins only on a strictly smaller delta, as in the scalar scan
+        # order (swaps probed first)
+        if m > n:
+            relocations = table.relocate_deltas()
+            reloc_blocked = (tabu > iteration) & (
+                cost + relocations >= best_cost)
+            reloc_blocked |= occupied
             reloc_candidates = np.where(reloc_blocked, np.inf, relocations)
-            reloc_flat = int(np.argmin(reloc_candidates))
+            reloc_flat = int(reloc_candidates.argmin())
             reloc_delta = reloc_candidates.flat[reloc_flat]
             if reloc_delta < best_delta:
                 best_delta = reloc_delta
-                best_move = ("move", reloc_flat // len(free),
-                             reloc_flat % len(free))
+                best_move = ("move", reloc_flat // m, reloc_flat % m)
         if best_move is None:
             performed = iteration + 1
             break
@@ -113,17 +112,13 @@ def tabu_search(instance: QAPInstance, seed: int = 0,
             _, i, j = best_move
             tabu[i, current[i]] = iteration + tenure
             tabu[j, current[j]] = iteration + tenure
-            current[i], current[j] = current[j], current[i]
-            instance.update_deltas_after_swap(deltas, current, i, j)
+            table.swap(i, j)
         else:
-            _, i, loc_idx = best_move
+            _, i, loc = best_move
             tabu[i, current[i]] = iteration + tenure
-            old = int(current[i])
-            current[i] = free[loc_idx]
-            # order-preserving insert instead of re-sorting the whole list
-            del free[loc_idx]
-            insort(free, old)
-            instance.update_deltas_after_relocate(deltas, current, i, old)
+            occupied[current[i]] = False
+            occupied[loc] = True
+            table.relocate(i, loc)
         cost += float(best_delta)
         if cost < best_cost - 1e-12:
             best_cost = cost
@@ -132,17 +127,6 @@ def tabu_search(instance: QAPInstance, seed: int = 0,
         if best_delta >= 0 and iteration % (4 * tenure) == 4 * tenure - 1:
             i, j = rng.choice(n, size=2, replace=False)
             i, j = int(i), int(j)
-            cost += float(deltas[i, j])
-            current[i], current[j] = current[j], current[i]
-            instance.update_deltas_after_swap(deltas, current, i, j)
+            cost += table.swap_delta(i, j)
+            table.swap(i, j)
     return TabuResult(best, float(best_cost), performed)
-
-
-def _relocate_delta(instance: QAPInstance, assignment: np.ndarray,
-                    i: int, new_loc: int) -> float:
-    """Cost change from moving logical ``i`` to the free ``new_loc``.
-
-    Deprecated alias for :meth:`QAPInstance.relocate_delta_reference`,
-    kept for callers of the old module-level helper.
-    """
-    return instance.relocate_delta_reference(assignment, i, new_loc)

@@ -14,7 +14,7 @@ type of the 2-local Hamiltonians compiled by 2QAN.  The class supports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -138,8 +138,7 @@ class PauliString:
         k = self.weight
         if k == 0:
             return np.exp(1j * theta) * np.eye(1, dtype=complex)
-        compact = PauliString.from_label("".join(p for _, p in self.paulis))
-        mat = compact.to_matrix(k)
+        mat = _compact_matrix("".join(p for _, p in self.paulis))
         dim = 2**k
         return np.cos(theta) * np.eye(dim, dtype=complex) + 1j * np.sin(theta) * mat
 
@@ -177,3 +176,15 @@ _PRODUCT_TABLE: dict[tuple[str, str], tuple[complex, str]] = {
 def _single_product(left: str, right: str) -> tuple[str, complex, str]:
     phase, label = _PRODUCT_TABLE[(left, right)]
     return left, complex(phase), label
+
+
+@lru_cache(maxsize=64)
+def _compact_matrix(label: str) -> np.ndarray:
+    """Read-only dense matrix of a compact label such as ``"XY"``.
+
+    Memoized because a Hamiltonian repeats a handful of labels over all
+    its terms; the matrix is the one ``to_matrix`` builds, bit for bit.
+    """
+    matrix = PauliString.from_label(label).to_matrix(len(label))
+    matrix.flags.writeable = False
+    return matrix

@@ -39,6 +39,19 @@ class TestBasics:
         result = compiler.compile(step, initial=np.arange(6))
         assert result.initial_map.physical(0) == 0
 
+    @pytest.mark.parametrize("initial", [
+        [0, 0, 1, 2, 3, 4],              # two logical qubits on qubit 0
+        [-1, 0, 1, 2, 3, 4],             # negative location
+        [0, 1, 2, 3, 4, 6],              # beyond the 6-qubit device
+        [0, 1, 2, 3, 4],                 # one location short
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],  # not integers
+    ])
+    def test_invalid_initial_mapping_rejected(self, grid23, initial):
+        step = trotter_step(nnn_ising(6, seed=0))
+        compiler = TwoQANCompiler(grid23, "CNOT", seed=0)
+        with pytest.raises(ValueError):
+            compiler.compile(step, initial=initial)
+
     def test_timings_recorded(self, grid23):
         step = trotter_step(nnn_ising(6, seed=0))
         result = compile_step(step, grid23, "CNOT")

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro.devices import grid, line, montreal
 from repro.hamiltonians.models import nnn_heisenberg, nnn_ising
 from repro.hamiltonians.trotter import trotter_step
-from repro.mapping.qap import QAPInstance, qap_cost, qap_from_problem
+from repro.mapping.qap import (
+    GainTable,
+    QAPInstance,
+    qap_cost,
+    qap_from_problem,
+)
 
 
 def small_instance():
@@ -51,7 +56,7 @@ class TestInstance:
         inst = qap_from_problem(step, grid(2, 3))
         assignment = rng.permutation(6)
         i, j = rng.choice(6, size=2, replace=False)
-        delta = inst.swap_delta(assignment, int(i), int(j))
+        delta = GainTable(inst, assignment).swap_delta(int(i), int(j))
         swapped = assignment.copy()
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert np.isclose(delta, inst.cost(swapped) - inst.cost(assignment))

@@ -67,9 +67,25 @@ class TestTabu:
         result = tabu_search(chain_instance, seed=0, initial=initial)
         assert result.cost <= chain_instance.cost(initial)
 
-    def test_bad_initial_rejected(self, chain_instance):
+    @pytest.mark.parametrize("initial", [
+        np.zeros(8, dtype=int),                 # repeated location
+        [0, 1, 2, 3, 4, 5, 6, -1],              # negative location
+        [0, 1, 2, 3, 4, 5, 6, 8],               # beyond the device
+        [0, 1, 2, 3],                           # wrong length
+        np.arange(8, dtype=float),              # not integers
+    ])
+    def test_bad_initial_rejected(self, chain_instance, initial):
         with pytest.raises(ValueError):
-            tabu_search(chain_instance, initial=np.zeros(8, dtype=int))
+            tabu_search(chain_instance, initial=initial)
+
+    def test_negative_initial_on_spare_device_rejected(self):
+        """Regression: NumPy wrapped a negative location round to the
+        last qubit, which the free list still offered."""
+        from repro.mapping.qap import QAPInstance
+
+        instance = QAPInstance(np.ones((4, 4)) - np.eye(4), line(6).distance)
+        with pytest.raises(ValueError):
+            tabu_search(instance, initial=[0, 1, 2, -1])
 
     def test_deterministic_given_seed(self, montreal_instance):
         a = tabu_search(montreal_instance, seed=9)
