@@ -92,8 +92,7 @@ def main() -> None:
     # line: python -m repro batch --requests FILE.json --cache DIR.)
     from repro.service import BatchCompiler, CompileRequest
 
-    service = BatchCompiler()            # in-memory cache; pass
-    requests = [                         # cache_dir=... to persist
+    requests = [
         CompileRequest(compiler="2qan", benchmark="NNN_Heisenberg",
                        n_qubits=10, device="montreal", seed=1),
         CompileRequest(compiler="tket", benchmark="NNN_Heisenberg",
@@ -101,17 +100,20 @@ def main() -> None:
         CompileRequest(compiler="2qan", benchmark="NNN_Heisenberg",
                        n_qubits=10, device="montreal", seed=1),  # repeat
     ]
-    responses, summary = service.run(requests)
-    print("\n--- batch compilation service ---")
-    print(summary.line())
-    for response in responses:
-        note = " (deduplicated)" if response.deduplicated else ""
-        print(f"{response.request.compiler}: "
-              f"2q-gates={response.n_two_qubit_gates}{note}")
-    # serving the same batch again is pure cache replay
-    _, again = service.run(requests)
-    print(f"served again: {again.artifact_hits} artifact hits, "
-          f"{again.artifact_misses} misses")
+    # in-memory cache; pass cache_dir=... to persist.  The context
+    # manager stops the compiler's workers on exit.
+    with BatchCompiler() as service:
+        responses, summary = service.run(requests)
+        print("\n--- batch compilation service ---")
+        print(summary.line())
+        for response in responses:
+            note = " (deduplicated)" if response.deduplicated else ""
+            print(f"{response.request.compiler}: "
+                  f"2q-gates={response.n_two_qubit_gates}{note}")
+        # serving the same batch again is pure cache replay
+        _, again = service.run(requests)
+        print(f"served again: {again.artifact_hits} artifact hits, "
+              f"{again.artifact_misses} misses")
 
     # When a custom pass graduates into the tree, declare its context
     # reads/writes (see the built-in passes) and run ``python -m repro

@@ -555,8 +555,9 @@ def batch_main(argv: list[str]) -> int:
                 f"n={request.n_qubits} seed={request.seed}")
 
     # BatchCompiler salts the directory with a source digest itself
-    service = BatchCompiler(jobs=args.jobs, cache_dir=args.cache or None)
-    responses, summary = service.run(requests)
+    with BatchCompiler(jobs=args.jobs,
+                       cache_dir=args.cache or None) as service:
+        responses, summary = service.run(requests)
     # the summary carries wall times and cache counters, which differ
     # between runs; keep stdout deterministic by reporting it on stderr.
     # per-request failures are isolated into error-carrying responses;

@@ -2,78 +2,24 @@
 
 The baselines compile through the same :mod:`repro.core.pipeline`
 substrate as 2QAN and return the same
-:class:`~repro.core.pipeline.CompilationResult`.  ``BaselineResult`` --
-the former baseline-only result type -- survives as a deprecated alias
-of ``CompilationResult`` so external imports keep working.
+:class:`~repro.core.pipeline.CompilationResult`; this module holds the
+gate builders and the trivial map their passes share.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from repro.core.decompose import DecomposeCache, decompose_circuit
-from repro.core.metrics import CircuitMetrics
-from repro.core.pipeline import CompilationResult
 from repro.core.routing import QubitMap
-from repro.quantum.circuit import Circuit
 from repro.quantum.gates import Gate, standard_gate_unitary
 from repro.quantum.params import SymbolicUnitary, factor_template_key
-from repro.synthesis.gateset import GateSet, get_gateset
 
 _SWAP = standard_gate_unitary("SWAP")
 
-__all__ = ["BaselineResult", "lower_app_circuit", "swap_gate",
-           "identity_map", "app_2q_gate", "app_1q_gate"]
-
-
-def __getattr__(name: str):
-    if name == "BaselineResult":
-        warnings.warn(
-            "BaselineResult is deprecated; baselines now return "
-            "repro.core.pipeline.CompilationResult",
-            DeprecationWarning, stacklevel=2,
-        )
-        return CompilationResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["swap_gate", "identity_map", "app_2q_gate", "app_1q_gate"]
 
 
 def identity_map(n_qubits: int) -> QubitMap:
     """The trivial logical->physical assignment."""
     return QubitMap({q: q for q in range(n_qubits)})
-
-
-def _as_qubit_map(mapping: QubitMap | dict[int, int]) -> QubitMap:
-    if isinstance(mapping, QubitMap):
-        return mapping
-    return QubitMap(dict(mapping))
-
-
-def lower_app_circuit(app_circuit: Circuit, gateset: str | GateSet,
-                      n_swaps: int, initial_map, final_map, *,
-                      solve: bool = False, seed: int = 0,
-                      cache: DecomposeCache | None = None,
-                      timings: dict[str, float] | None = None,
-                      ) -> CompilationResult:
-    """Decompose an application-level routed circuit and collect metrics.
-
-    Legacy one-shot helper kept for direct callers; the pipeline
-    compilers reach the same lowering through
-    :class:`repro.core.pipeline.DecomposePass`.
-    """
-    if isinstance(gateset, str):
-        gateset = get_gateset(gateset)
-    hardware = decompose_circuit(app_circuit, gateset, solve=solve,
-                                 seed=seed, cache=cache)
-    metrics = CircuitMetrics.from_circuit(hardware, n_swaps=n_swaps)
-    return CompilationResult(
-        circuit=hardware,
-        metrics=metrics,
-        timings=dict(timings or {}),
-        app_circuit=app_circuit,
-        n_swaps=n_swaps,
-        initial_map=_as_qubit_map(initial_map),
-        final_map=_as_qubit_map(final_map),
-    )
 
 
 def swap_gate(p: int, q: int) -> Gate:

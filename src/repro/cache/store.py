@@ -187,11 +187,9 @@ class ArtifactCache:
     def stats(self) -> dict:
         """Counters snapshot: global hits/misses plus per-pass events.
 
-        The single read path for the counters: the batch service's
-        summary, the server's ``/metrics`` endpoint and the sweep report
-        all consume this plain dict (or deltas of two snapshots via
-        :func:`stats_delta`) instead of poking ``hits``/``misses``
-        directly.
+        The single read path for the counters: the server's
+        ``/metrics`` endpoint and the sweep report consume this plain
+        dict instead of poking ``hits``/``misses`` directly.
         """
         return {
             "hits": self.hits,
@@ -207,25 +205,6 @@ class ArtifactCache:
         self.hits = 0
         self.misses = 0
         self.pass_events = {}
-
-
-def stats_delta(before: dict, after: dict) -> dict:
-    """What happened between two :meth:`ArtifactCache.stats` snapshots.
-
-    Returns the same shape as ``stats()`` with counters subtracted
-    (``memory_entries`` stays absolute: it is a gauge, not a counter).
-    """
-    per_pass: dict[str, dict[str, int]] = {}
-    for name, events in after["per_pass"].items():
-        prior = before["per_pass"].get(name, {})
-        per_pass[name] = {key: value - prior.get(key, 0)
-                          for key, value in events.items()}
-    return {
-        "hits": after["hits"] - before["hits"],
-        "misses": after["misses"] - before["misses"],
-        "memory_entries": after["memory_entries"],
-        "per_pass": per_pass,
-    }
 
 
 class LockingArtifactCache(ArtifactCache):

@@ -38,6 +38,24 @@ from repro.devices.topology import Device
 from repro.hamiltonians.trotter import TrotterStep
 
 
+def check_assignment(assignment, n_logical: int,
+                     n_physical: int) -> np.ndarray:
+    """``assignment`` as an array if it places each of ``n_logical``
+    qubits on its own integer location in ``[0, n_physical)``; else
+    ValueError.  The one validator of caller-supplied placements."""
+    array = np.asarray(assignment)
+    if array.shape != (n_logical,) or array.dtype.kind not in "iu":
+        raise ValueError(
+            f"assignment must hold {n_logical} integer locations, "
+            f"got {array.dtype} of shape {array.shape}")
+    if array.size and not (0 <= array.min() <= array.max() < n_physical):
+        raise ValueError(
+            f"assignment locations must lie in [0, {n_physical})")
+    if np.unique(array).size != array.size:
+        raise ValueError("assignment repeats a location")
+    return array
+
+
 @dataclass
 class QAPInstance:
     """Flow/distance matrices for one mapping problem.
@@ -74,20 +92,8 @@ class QAPInstance:
         return float((self.flow * sub).sum())
 
     def check_assignment(self, assignment) -> np.ndarray:
-        """``assignment`` as an array if it places every logical qubit on
-        its own integer location in ``[0, n_physical)``; else ValueError."""
-        array = np.asarray(assignment)
-        if array.shape != (self.n_logical,) or array.dtype.kind not in "iu":
-            raise ValueError(
-                f"assignment must hold {self.n_logical} integer locations, "
-                f"got {array.dtype} of shape {array.shape}")
-        if array.size and not (0 <= array.min() <= array.max()
-                               < self.n_physical):
-            raise ValueError(
-                f"assignment locations must lie in [0, {self.n_physical})")
-        if np.unique(array).size != array.size:
-            raise ValueError("assignment repeats a location")
-        return array
+        """:func:`check_assignment` against this instance's sizes."""
+        return check_assignment(assignment, self.n_logical, self.n_physical)
 
     # ------------------------------------------------------------------
     # Move deltas

@@ -4,9 +4,10 @@ Three layers over the compiler registry plus the content-addressed
 cache (:mod:`repro.cache`):
 
 * :mod:`repro.service.batch` -- callers describe work as
-  :class:`CompileRequest` values; a :class:`BatchCompiler` deduplicates
-  identical requests, shares one artifact cache across the batch, and
-  fans independent requests out over worker processes.
+  :class:`CompileRequest` values; a :class:`BatchCompiler` serves a
+  list of them synchronously through a :class:`CompileService` it owns
+  (deduplicated, one artifact cache across batches, supervised worker
+  processes with ``jobs > 1``).
 * :mod:`repro.service.server` -- compilation as a service: an asyncio
   HTTP front end over a bounded priority :class:`JobQueue` with
   in-flight coalescing, per-tenant cache salting, a ``/metrics``

@@ -2,20 +2,24 @@
 
 A :class:`CompileRequest` is a plain-values description of one
 compilation (benchmark, size, compiler, device, gate set, seed), a
-:class:`CompileResponse` the metrics it produced.  The
-:class:`BatchCompiler` serves a list of requests the way a compilation
-service would:
+:class:`CompileResponse` the metrics it produced, and
+:func:`execute_request` turns one into the other -- the single compile
+step every serving path runs.
+
+:class:`BatchCompiler` serves a list of requests synchronously through
+a :class:`~repro.service.server.CompileService` it owns, so a batch is
+served exactly as the server's ``/batch`` route serves one:
 
 * *deduplication* -- identical requests (after canonicalising compiler
   aliases and dropping device/gate-set fields the compiler ignores) are
   compiled once;
-* *shared cache* -- one :class:`~repro.cache.ArtifactCache` spans the
-  batch, so requests that share a pipeline prefix (same problem for
-  several compilers, same compiler for several gate sets) reuse each
-  other's stage artifacts, and a ``cache_dir`` persists artifacts
-  across batches and processes;
-* *fan-out* -- with ``jobs > 1`` unique requests spread over a
-  ``ProcessPoolExecutor`` whose workers share the disk cache layer;
+* *shared cache* -- the service's artifact cache spans every batch, so
+  requests that share a pipeline prefix (same problem for several
+  compilers, same compiler for several gate sets) reuse each other's
+  stage artifacts, and a ``cache_dir`` persists artifacts across
+  processes;
+* *fan-out* -- with ``jobs > 1`` unique requests run on the service's
+  supervised process workers, whose caches outlive a batch;
 * *structural coalescing* -- requests that carry ``parameters`` and
   differ only in angle values share one structural compilation
   (everything before the pipeline's binding pass); each request then
@@ -24,8 +28,8 @@ service would:
 Responses come back in request order, duplicates marked
 ``deduplicated=True``.  Failures are isolated per request: a compilation
 that raises becomes an error-carrying response (``error`` set, metrics
-zeroed) while the rest of the batch is served normally -- completed work
-is drained, never discarded, mirroring ``run_engine``.
+zeroed) while the rest of the batch is served normally; a worker that
+dies is restarted and its job requeued, as in the server.
 """
 
 from __future__ import annotations
@@ -33,14 +37,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.cache.store import ArtifactCache
 from repro.core.cancel import CancelToken
 from repro.service import faults
+
+if TYPE_CHECKING:
+    from repro.service.server import CompileService
 
 _REQUEST_DEFAULTS = {
     "compiler": "2qan",
@@ -126,8 +135,8 @@ class CompileRequest:
         """Coalescing key of the angle-free structural compilation.
 
         Requests that differ only in their ``parameters`` values share
-        one structural compile; the batch compiler fans their bindings
-        out over it.
+        one structural compile; the service fans their bindings out
+        over it.
         """
         from repro.analysis.store import config_fingerprint
 
@@ -370,7 +379,7 @@ def execute_request(request: CompileRequest,
     step and binds the angles at the end.  With ``structurals`` (a
     mutable mapping the caller keeps across requests) the structural
     prefix is compiled once per :meth:`CompileRequest.structural_key`
-    and reused -- the batch compiler's coalescing path.  Without it the
+    and reused -- the thread workers' coalescing path.  Without it the
     binding still flows through the cache-aware pipeline, so requests
     sharing a structural prefix reuse it through the artifact cache.
     ``request_key`` threads the dedupe key the serving layer already
@@ -439,40 +448,6 @@ def execute_request(request: CompileRequest,
     )
 
 
-_WORKER_MEMORY_CACHE: ArtifactCache | None = None
-
-
-def _execute_in_worker(job: tuple[CompileRequest, str, str | None, int,
-                                  float | None],
-                       ) -> CompileResponse:
-    """Pool entry point: workers share one per-process cache per dir.
-
-    Without a directory each worker process still keeps a private
-    in-memory cache, so requests served by the same worker reuse each
-    other's artifacts across the whole pool lifetime.
-
-    The last tuple slot is the seconds remaining until the request's
-    deadline (``None`` = unbounded): cancel tokens do not cross the
-    process boundary, so the child rebuilds one from the relative
-    budget and enforces the deadline at its own pass boundaries.
-    """
-    global _WORKER_MEMORY_CACHE
-    from repro.cache.store import process_cache
-
-    request, request_key, cache_dir, memory_limit, remaining_s = job
-    faults.maybe_crash(hard=True)
-    cache = process_cache(cache_dir, memory_limit=memory_limit)
-    if cache is None:
-        if _WORKER_MEMORY_CACHE is None:
-            _WORKER_MEMORY_CACHE = ArtifactCache(
-                memory_limit=memory_limit)
-        cache = _WORKER_MEMORY_CACHE
-    cancel = CancelToken(deadline=None if remaining_s is None
-                         else time.monotonic() + remaining_s)
-    return execute_request(request, cache, request_key=request_key,
-                           cancel=cancel)
-
-
 @dataclass(frozen=True)
 class BatchSummary:
     """What one batch run did, for reports and the CLI summary line."""
@@ -493,40 +468,80 @@ class BatchSummary:
                 f"{self.seconds:.2f}s{failed}")
 
 
+#: Queue bound of a batch driver's service.  A batch arrives whole and
+#: has no client to push back on, so the bound is set so large that no
+#: batch fills the queue: every unique request is queued at once.
+BATCH_QUEUE_DEPTH = sys.maxsize
+
+
+def _stop_service(service) -> None:
+    # ``run`` returns only once its jobs are done, so queued work is
+    # left only by an interrupted run: drop it rather than wait for it
+    service.shutdown(drain=False)
+    service.join()
+
+
 @dataclass
 class BatchCompiler:
-    """Serve batches of compile requests with dedupe, cache and fan-out.
+    """Serve batches of compile requests through one owned service.
 
-    ``cache_dir=None`` with serial serving (``jobs=1``) caches in
-    memory within and across batches served by this instance; a
-    directory makes artifacts persistent and shareable across
-    processes.  Persistent directories are nested under a source digest
-    (:func:`repro.cache.store.salted_directory`) at construction,
-    enforcing the documented invalidation rule: a source change starts
-    a fresh cache instead of replaying artifacts the old code produced.
-    With ``jobs > 1`` the pool lives only for one ``run()``: workers
-    share the disk layer when a ``cache_dir`` is set, and without one
-    each worker keeps a private memory cache (intra-batch reuse and
-    dedupe still apply, but cross-batch reuse needs a ``cache_dir``).
+    A thin synchronous driver over a
+    :class:`~repro.service.server.CompileService` that lives as long as
+    this object: ``jobs == 1`` runs it with one thread worker, ``jobs >
+    1`` with ``jobs`` supervised process workers (crash -> requeue ->
+    quarantine, as under ``repro serve --workers process``).  Worker
+    caches and structural compiles therefore outlive a batch, and
+    :meth:`run` shares its submission method with the server's
+    ``/batch`` route.
+
+    ``cache_dir=None`` caches in memory across the batches served by
+    this instance; a directory makes artifacts persistent and shareable
+    across processes.  Persistent directories are nested under a source
+    digest (:func:`repro.cache.store.salted_directory`) at construction,
+    enforcing the documented invalidation rule: a source change starts a
+    fresh cache instead of replaying artifacts the old code produced.
+
+    Use it as a context manager (or call :meth:`close`) to stop the
+    workers; an instance that is dropped unclosed stops them when it is
+    garbage-collected.
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
     memory_limit: int = 1024
-    _cache: ArtifactCache | None = field(default=None, repr=False)
+    _service: CompileService = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.cache_dir is not None:
-            from repro.cache.store import salted_directory
+        from repro.cache.store import salted_directory
+        from repro.service.server import CompileService, ServiceConfig
 
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.cache_dir is not None:
             self.cache_dir = salted_directory(self.cache_dir)
-        if self._cache is None:
-            self._cache = ArtifactCache(self.cache_dir,
-                                        memory_limit=self.memory_limit)
+        self._service = CompileService(ServiceConfig(
+            jobs=self.jobs,
+            worker_mode="thread" if self.jobs == 1 else "process",
+            queue_depth=BATCH_QUEUE_DEPTH,
+            cache_dir=self.cache_dir,
+            memory_limit=self.memory_limit,
+        ))
+        self._service.start()
+        weakref.finalize(self, _stop_service, self._service)
 
     @property
     def cache(self) -> ArtifactCache:
-        return self._cache
+        return self._service.cache_for("")
+
+    def close(self) -> None:
+        """Stop the service's workers (idempotent)."""
+        _stop_service(self._service)
+
+    def __enter__(self) -> BatchCompiler:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(self, requests: list[CompileRequest],
             ) -> tuple[list[CompileResponse], BatchSummary]:
@@ -535,72 +550,21 @@ class BatchCompiler:
         Failures are isolated per request: a compilation that raises
         yields an error-carrying :class:`CompileResponse` (see
         :func:`error_response`) while every other request is still
-        served.  In parallel mode all futures are drained the way
-        :func:`repro.analysis.engine.run_engine` drains its pool, so
-        completed work is never discarded because a sibling failed.
+        served.
         """
-        from repro.cache.store import stats_delta
-
         start = time.perf_counter()
-        stats_before = self._cache.stats()
-        # phase 1: one key() per request; uncomputable keys (e.g. an
-        # unknown compiler name) become per-request failures up front
         keys, pre_failed = compute_request_keys(requests)
-        unique: list[tuple[CompileRequest, str]] = []
-        seen: set[str] = set()
-        for request, key in zip(requests, keys):
-            if key is not None and key not in seen:
-                seen.add(key)
-                unique.append((request, key))
-
-        computed: dict[str, CompileResponse] = {}
-        if self.jobs > 1 and len(unique) > 1:
-            cache_dir = (str(self.cache_dir)
-                         if self.cache_dir is not None else None)
-            with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(unique))) as pool:
-                futures = {
-                    pool.submit(_execute_in_worker,
-                                (request, key, cache_dir,
-                                 self.memory_limit, None)): (request, key)
-                    for request, key in unique
-                }
-                # drain every future even after a failure, so responses
-                # that did complete are served alongside the error ones
-                for future in as_completed(futures):
-                    request, key = futures[future]
-                    try:
-                        computed[key] = future.result()
-                    except Exception as exc:
-                        computed[key] = error_response(request, exc,
-                                                       request_key=key)
-            # worker counters stay in the workers; report what is
-            # visible batch-wide instead: per-response events
-            hits = sum(r.cache_hits for r in computed.values())
-            misses = (sum(len(r.cache_events) for r in computed.values())
-                      - hits)
-        else:
-            # serial mode coalesces parameterised requests: one
-            # structural compile per structural_key, one bind per request
-            structurals: dict = {}
-            for request, key in unique:
-                try:
-                    computed[key] = execute_request(request, self._cache,
-                                                    structurals,
-                                                    request_key=key)
-                except Exception as exc:
-                    computed[key] = error_response(request, exc,
-                                                   request_key=key)
-            delta = stats_delta(stats_before, self._cache.stats())
-            hits = delta["hits"]
-            misses = delta["misses"]
-
+        jobs = self._service.submit_batch(requests, keys)
+        computed = {key: job.future.result()
+                    for key, (job, _envelope) in jobs.items()}
         responses = assemble_responses(requests, keys, computed, pre_failed)
+        hits = sum(r.cache_hits for r in computed.values())
+        lookups = sum(len(r.cache_events) for r in computed.values())
         summary = BatchSummary(
             n_requests=len(requests),
-            n_unique=len(unique),
+            n_unique=len(jobs),
             artifact_hits=hits,
-            artifact_misses=misses,
+            artifact_misses=lookups - hits,
             seconds=time.perf_counter() - start,
             n_failed=sum(1 for response in responses if response.failed),
         )

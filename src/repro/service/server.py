@@ -4,13 +4,16 @@ Two layers:
 
 * :class:`CompileService` -- the protocol-free core: a bounded priority
   :class:`~repro.service.queue.JobQueue`, a pool of worker threads
-  reusing the batch executor (:func:`repro.service.batch
-  .execute_request`), in-flight *coalescing* (concurrent identical
-  requests -- same ``CompileRequest.key()``, same tenant -- share one
-  compilation), *structural coalescing* (parameterised requests that
-  differ only in angle values share one structural compile and bind
-  per-request), per-tenant salted artifact caches, and a
-  :class:`~repro.service.metrics.ServiceMetrics` aggregate.
+  running :func:`repro.service.batch.execute_request`, in-flight
+  *coalescing* (concurrent identical requests -- same
+  ``CompileRequest.key()``, same tenant -- share one compilation),
+  *structural coalescing* (parameterised requests that differ only in
+  angle values share one structural compile and bind per-request),
+  per-tenant salted artifact caches, and a
+  :class:`~repro.service.metrics.ServiceMetrics` aggregate.  It is the
+  one execution engine: the HTTP routes below and the synchronous
+  :class:`~repro.service.batch.BatchCompiler` (``repro batch``) both
+  submit batches through :meth:`CompileService.submit_batch`.
 
 * :class:`CompileServer` -- a minimal HTTP/1.1 handler on
   ``asyncio.start_server`` (stdlib only) routing::
@@ -36,9 +39,10 @@ boundary.
 Fault tolerance (see ``docs/architecture.md``, "Failure modes &
 recovery"): ``worker_mode="process"`` executes compiles in a supervised
 ``ProcessPoolExecutor`` -- a dying child restarts the pool and requeues
-the job up to ``max_retries`` before quarantining it as a poison job --
-and ``journal_path`` arms a write-ahead log replayed on startup, so a
-server crash never silently drops an accepted job.
+the job up to ``max_retries`` before quarantining it as a poison job,
+for ``repro serve --workers process`` and ``repro batch --jobs N``
+alike -- and ``journal_path`` arms a write-ahead log replayed on
+startup, so a server crash never silently drops an accepted job.
 
 Request JSON carries the :class:`CompileRequest` fields plus an optional
 *envelope*: ``tenant`` (isolates the artifact cache under
@@ -65,13 +69,14 @@ from pathlib import Path
 from repro.cache.store import (
     ArtifactCache,
     LockingArtifactCache,
+    process_cache,
     salted_directory,
 )
-from repro.core.cancel import CompilationCancelled
+from repro.core.cancel import CancelToken, CompilationCancelled
+from repro.service import faults
 from repro.service.batch import (
     CompileRequest,
     CompileResponse,
-    _execute_in_worker,
     assemble_responses,
     compute_request_keys,
     error_response,
@@ -127,6 +132,39 @@ class ServiceConfig:
 
 class PoisonJobError(RuntimeError):
     """A job that crashed its worker on every allowed attempt."""
+
+
+_WORKER_MEMORY_CACHE: ArtifactCache | None = None
+
+
+def _execute_in_worker(job: tuple[CompileRequest, str, str | None, int,
+                                  float | None],
+                       ) -> CompileResponse:
+    """Process-pool entry point: one shared cache per worker process.
+
+    With a cache directory the worker opens the process-wide cache for
+    it; without one it keeps a private in-memory cache, so requests
+    served by the same worker reuse each other's artifacts for the whole
+    pool lifetime.
+
+    The last tuple slot is the seconds remaining until the request's
+    deadline (``None`` = unbounded): cancel tokens do not cross the
+    process boundary, so the child rebuilds one from the relative
+    budget and enforces the deadline at its own pass boundaries.
+    """
+    global _WORKER_MEMORY_CACHE
+    request, request_key, cache_dir, memory_limit, remaining_s = job
+    faults.maybe_crash(hard=True)
+    cache = process_cache(cache_dir, memory_limit=memory_limit)
+    if cache is None:
+        if _WORKER_MEMORY_CACHE is None:
+            _WORKER_MEMORY_CACHE = ArtifactCache(
+                memory_limit=memory_limit)
+        cache = _WORKER_MEMORY_CACHE
+    cancel = CancelToken(deadline=None if remaining_s is None
+                         else time.monotonic() + remaining_s)
+    return execute_request(request, cache, request_key=request_key,
+                           cancel=cancel)
 
 
 @dataclass(frozen=True)
@@ -303,7 +341,7 @@ class CompileService:
 
         Every call adds one waiter to the job; callers that stop
         listening early (timeout, disconnect) must balance it with
-        :meth:`Job.release_waiter`.  ``record=False`` skips the journal
+        :meth:`release`.  ``record=False`` skips the journal
         ``accepted`` entry (the replay path: the record already exists).
         """
         if timeout_s is None:
@@ -341,6 +379,55 @@ class CompileService:
         if record:
             self._journal_accepted(job)
         return job, False
+
+    def release(self, job: Job) -> None:
+        """One waiter stopped listening; the last one out cancels the
+        job (dead-on-arrival if queued, pass-boundary stop if running)."""
+        if job.release_waiter():
+            job.cancel()
+
+    def submit_batch(self, requests: list[CompileRequest],
+                     keys: list[str | None],
+                     envelopes: list[Envelope] | None = None,
+                     ) -> dict[str, tuple[Job, Envelope]]:
+        """Submit each unique request of a batch once, all or nothing.
+
+        ``keys`` come from :func:`~repro.service.batch
+        .compute_request_keys`: a ``None`` slot (uncomputable key) is
+        skipped, and a repeat of an earlier key is counted as
+        deduplicated rather than submitted.  Returns ``{key: (job,
+        envelope)}`` in first-occurrence order, each with the envelope
+        of its first occurrence (default ``Envelope()``).  When
+        the queue refuses a job (:class:`QueueFullError`,
+        :class:`QueueClosedError`) the jobs already submitted are
+        released and the error propagates, so the caller retries the
+        whole batch.  Shared by :meth:`BatchCompiler.run
+        <repro.service.batch.BatchCompiler.run>` and the ``/batch``
+        route.
+        """
+        if envelopes is None:
+            envelopes = [Envelope()] * len(requests)
+        jobs: dict[str, tuple[Job, Envelope]] = {}
+        duplicates = 0
+        for request, key, envelope in zip(requests, keys, envelopes):
+            if key is None:
+                continue
+            if key in jobs:
+                duplicates += 1
+                continue
+            try:
+                job, _coalesced = self.submit(
+                    request, key, tenant=envelope.tenant,
+                    priority=envelope.priority,
+                    timeout_s=envelope.timeout_s)
+            except (QueueFullError, QueueClosedError):
+                for pending_job, _envelope in jobs.values():
+                    self.release(pending_job)
+                raise
+            jobs[key] = (job, envelope)
+        if duplicates:
+            self.metrics.increment("deduplicated", duplicates)
+        return jobs
 
     def _forget(self, slot: tuple[str, str], job: Job) -> None:
         with self._lock:
@@ -481,8 +568,6 @@ class CompileService:
     def _execute(self, job: Job) -> CompileResponse | None:
         if self.config.worker_mode == "process":
             return self._execute_in_pool(job)
-        from repro.service import faults
-
         faults.maybe_crash(hard=False)
         cache = self.cache_for(job.tenant)
         if not job.request.parameters:
@@ -940,12 +1025,6 @@ class CompileServer:
     def _default_envelope(self) -> Envelope:
         return Envelope(timeout_s=self.service.config.default_timeout_s)
 
-    def _release(self, job: Job) -> None:
-        """One waiter stopped listening; the last one out cancels the
-        job (dead-on-arrival if queued, pass-boundary stop if running)."""
-        if job.release_waiter():
-            job.cancel()
-
     async def _await_job(self, job: Job, timeout_s: float | None,
                          monitor: "asyncio.Future | None" = None,
                          ) -> CompileResponse | None:
@@ -964,17 +1043,17 @@ class CompileServer:
                                          return_when=asyncio.FIRST_COMPLETED)
         except asyncio.CancelledError:
             shielded.cancel()
-            self._release(job)
+            self.service.release(job)
             raise
         if shielded in done:
             return shielded.result()
         shielded.cancel()
         if monitor is not None and monitor in done:
             self.service.metrics.increment("disconnected")
-            self._release(job)
+            self.service.release(job)
             return None
         self.service.metrics.increment("timed_out")
-        self._release(job)
+        self.service.release(job)
         return self.service.timeout_response(job)
 
     async def _compile_route(self, body: bytes,
@@ -1056,36 +1135,16 @@ class CompileServer:
         keys, pre_failed = compute_request_keys(requests)
         if pre_failed:
             self.service.metrics.increment("failed", len(pre_failed))
-        jobs: dict[str, tuple[Job, Envelope]] = {}
-        duplicates = 0
-        for request, key, envelope in zip(requests, keys, envelopes):
-            if key is None:
-                continue
-            if key in jobs:
-                duplicates += 1
-                continue
-            try:
-                job, _coalesced = self.service.submit(
-                    request, key, tenant=envelope.tenant,
-                    priority=envelope.priority,
-                    timeout_s=envelope.timeout_s)
-            except QueueFullError as exc:
-                # all-or-nothing: the client retries the whole batch;
-                # jobs already submitted keep running and warm the cache
-                self.service.metrics.increment("rejected_queue_full")
-                for pending_job, _envelope in jobs.values():
-                    self._release(pending_job)
-                return 429, {"error": str(exc),
-                             "queue_depth": len(self.service.queue)}, \
-                    self._backpressure_headers()
-            except QueueClosedError as exc:
-                for pending_job, _envelope in jobs.values():
-                    self._release(pending_job)
-                return 503, {"error": str(exc)}, \
-                    self._backpressure_headers()
-            jobs[key] = (job, envelope)
-        if duplicates:
-            self.service.metrics.increment("deduplicated", duplicates)
+        try:
+            jobs = self.service.submit_batch(requests, keys, envelopes)
+        except QueueFullError as exc:
+            # all-or-nothing: the client retries the whole batch
+            self.service.metrics.increment("rejected_queue_full")
+            return 429, {"error": str(exc),
+                         "queue_depth": len(self.service.queue)}, \
+                self._backpressure_headers()
+        except QueueClosedError as exc:
+            return 503, {"error": str(exc)}, self._backpressure_headers()
         results = await asyncio.gather(*(
             self._await_job(job, envelope.timeout_s, monitor)
             for job, envelope in jobs.values()))

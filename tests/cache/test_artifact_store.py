@@ -154,9 +154,9 @@ class TestSaltedDirectory:
 
 
 class TestCounterSnapshots:
-    """stats()/reset_stats()/stats_delta: the one counter read path
-    shared by 'sweep --pass-timings', BatchCompiler summaries and the
-    compile server's /metrics endpoint."""
+    """stats()/reset_stats(): the one counter read path shared by
+    'sweep --pass-timings' and the compile server's /metrics
+    endpoint."""
 
     def test_reset_stats_zeroes_counters(self):
         cache = ArtifactCache()
@@ -171,23 +171,6 @@ class TestCounterSnapshots:
         assert stats["per_pass"] == {}
         # entries survive a counter reset: only accounting is cleared
         assert cache.get("k") == {}
-
-    def test_stats_delta_subtracts_counters(self):
-        from repro.cache.store import stats_delta
-
-        cache = ArtifactCache()
-        cache.put("k", {})
-        cache.get("k")
-        before = cache.stats()
-        cache.get("k")
-        cache.get("missing")
-        cache.record_event("routing", hit=False)
-        delta = stats_delta(before, cache.stats())
-        assert delta["hits"] == 1
-        assert delta["misses"] == 1
-        assert delta["per_pass"] == {"routing": {"hits": 0, "misses": 1}}
-        # memory_entries is a gauge, not a counter: reported absolute
-        assert delta["memory_entries"] == cache.stats()["memory_entries"]
 
 
 class TestLockingArtifactCache:

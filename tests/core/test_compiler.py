@@ -46,9 +46,14 @@ class TestBasics:
         [0, 1, 2, 3, 4],                 # one location short
         [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],  # not integers
     ])
-    def test_invalid_initial_mapping_rejected(self, grid23, initial):
+    @pytest.mark.parametrize("name", ["2qan", "tket", "qiskit", "ic_qaoa"])
+    def test_invalid_initial_mapping_rejected(self, grid23, initial, name):
+        """Every compiler with a placement pass validates a caller's
+        initial map through the one QAP validator."""
+        from repro.core.registry import get_compiler
+
         step = trotter_step(nnn_ising(6, seed=0))
-        compiler = TwoQANCompiler(grid23, "CNOT", seed=0)
+        compiler = get_compiler(name, device=grid23, gateset="CNOT", seed=0)
         with pytest.raises(ValueError):
             compiler.compile(step, initial=initial)
 

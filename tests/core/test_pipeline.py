@@ -9,7 +9,6 @@ from repro.core.compiler import TwoQANCompiler
 from repro.core.pipeline import (
     CompilationContext,
     CompilationResult,
-    DecomposePass,
     MapPass,
     Pass,
     PassPipeline,
@@ -124,16 +123,6 @@ class _IdentityMapPass:
 
 
 class TestMergedResult:
-    def test_baseline_result_is_deprecated_alias(self):
-        with pytest.deprecated_call():
-            from repro.baselines.base import BaselineResult
-        assert BaselineResult is CompilationResult
-
-    def test_package_level_alias(self):
-        import repro.baselines as baselines
-
-        assert baselines.BaselineResult is CompilationResult
-
     def test_baseline_fields_typed_defaults(self, grid23):
         """Baselines fill the merged result without the old type lies."""
         from repro.baselines import compile_nomap
@@ -215,22 +204,3 @@ class TestRepeatLayers:
             TwoQANCompiler.compile = original
         assert len(recorded) == 1  # only the first layer is compiled
         assert triple.timings["decomposition"] > recorded[0]
-
-
-class TestDecomposePassSharing:
-    def test_shared_decompose_pass_matches_legacy_helper(self, grid23):
-        """DecomposePass and lower_app_circuit produce identical circuits."""
-        from repro.baselines.base import lower_app_circuit
-        from repro.baselines.nomap import NoDeviceSchedulePass
-
-        step = trotter_step(nnn_ising(6, seed=0))
-        pipeline = PassPipeline([
-            UnifyPass(), NoDeviceSchedulePass(), DecomposePass(),
-        ])
-        via_pipeline = run_pipeline(pipeline, step, gateset="CNOT", seed=0)
-        identity = {q: q for q in range(6)}
-        via_helper = lower_app_circuit(
-            via_pipeline.app_circuit, "CNOT", n_swaps=0,
-            initial_map=identity, final_map=identity, seed=0,
-        )
-        assert via_pipeline.metrics == via_helper.metrics

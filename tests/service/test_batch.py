@@ -253,6 +253,69 @@ class TestBatchCompiler:
         responses, _ = BatchCompiler(jobs=2).run(REQS)
         assert all(r.cache_events for r in responses)
 
+    def test_batch_larger_than_server_queue_is_served(self):
+        """A batch has no client to push back on: one run() of more
+        unique requests than a server's queue holds serves them all."""
+        from repro.service.server import ServiceConfig
+
+        requests = [CompileRequest(compiler="nomap", benchmark="NNN_Ising",
+                                   n_qubits=4, seed=seed)
+                    for seed in range(ServiceConfig().queue_depth + 1)]
+        responses, summary = BatchCompiler().run(requests)
+        assert summary.n_unique == len(requests)
+        assert summary.n_failed == 0
+        assert not any(r.failed for r in responses)
+
+    def test_jobs_below_one_rejected(self):
+        """Zero workers would leave every submitted job queued forever."""
+        with pytest.raises(ValueError, match="jobs"):
+            BatchCompiler(jobs=0)
+
+    def test_closed_compiler_refuses_work(self):
+        from repro.service.queue import QueueClosedError
+
+        with BatchCompiler() as compiler:
+            compiler.run(REQS[:1])
+        compiler.close()                     # idempotent
+        with pytest.raises(QueueClosedError):
+            compiler.run(REQS[:1])
+
+    def test_replace_builds_a_fresh_service(self):
+        import dataclasses
+
+        with BatchCompiler() as first:
+            rebuilt = dataclasses.replace(first, jobs=1)
+        try:
+            assert rebuilt._service is not first._service
+            responses, _ = rebuilt.run(REQS[:1])
+            assert not responses[0].failed
+        finally:
+            rebuilt.close()
+
+
+class TestCrashSupervision:
+    def test_worker_crash_is_requeued_not_failed(self, tmp_path,
+                                                 monkeypatch):
+        """A pool worker dying mid-batch is supervised exactly as under
+        'repro serve --workers process': the job is requeued and the
+        batch output stays byte-identical to a serial run."""
+        from repro.service import faults
+        from repro.service.faults import FaultPlan
+
+        serial, _ = BatchCompiler().run(REQS)
+        plan = FaultPlan(marker_dir=str(tmp_path / "m"), crash_times=1)
+        # the env route: pool children (forked) see the same plan
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_env())
+        with BatchCompiler(jobs=2) as compiler:
+            crashed, summary = compiler.run(REQS)
+            counters = compiler._service.metrics.counters
+        assert (tmp_path / "m" / "crash-0").exists()   # the fault fired
+        assert counters["worker_crashes"] >= 1
+        assert summary.n_failed == 0
+        assert json.dumps([r.to_dict() for r in crashed]) == \
+            json.dumps([r.to_dict() for r in serial])
+
+
 class TestFailureIsolation:
     BAD = CompileRequest(n_qubits=99, device="aspen")
 
